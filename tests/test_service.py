@@ -4,11 +4,15 @@ Covers the selector registry (atomic, fingerprint-gated hot-reload), the
 micro-batching scheduler (bit-identity to sequential serving at any
 client concurrency, admission control, deadlines, version isolation
 within a batch) and the HTTP frontend + client (payload equality with
-library selection, typed error mapping, health/stats).
+library selection, typed error mapping, health/stats, one write per
+reply on a no-Nagle socket, ``Content-Length`` hardening).
 """
 
 from __future__ import annotations
 
+import json
+import queue
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +37,7 @@ from repro.service import (
     ServiceClient,
     recommendation_to_dict,
 )
-from repro.service.server import serve
+from repro.service.server import MAX_BODY_BYTES, ServiceHTTPServer, serve
 from repro.telemetry.latency import DurationSummary
 from repro.workloads.catalog import get_workload, target_set, training_set
 
@@ -246,7 +250,9 @@ class TestScheduler:
 
 
 class TestHotReload:
-    def test_no_version_mixing_within_a_response(self, archive, tmp_path):
+    def test_no_version_mixing_within_a_response(
+        self, archive, reference, tmp_path
+    ):
         """Concurrent selects during repeated hot-reloads: every response
         comes from exactly one knowledge version and is bit-identical to
         that version's own sequential answer."""
@@ -260,42 +266,35 @@ class TestHotReload:
         fp_b = other.knowledge_fingerprint()
         assert fp_a != fp_b
 
-        ref_a, ref_b = _fresh_selector(), _fresh_selector(k=5)
-        reference = {
-            fp_a: {n: ref_a.select(get_workload(n)) for n in TARGETS},
-            fp_b: {n: ref_b.select(get_workload(n)) for n in TARGETS},
+        # Version A is the module selector, whose sequential answers
+        # the ``reference`` fixture already holds.
+        by_version = {
+            fp_a: {n: reference[(n, "time")] for n in TARGETS},
+            fp_b: {n: other.select(get_workload(n)) for n in TARGETS},
         }
 
-        responses = []
-        responses_lock = threading.Lock()
-        stop = threading.Event()
-
-        def reloader():
-            flip = False
-            while not stop.is_set():
-                reg.reload("default", other_path if flip else archive)
-                flip = not flip
-
+        # Reloads land at fixed points between submitted batches: each
+        # batch is submitted right after its version is swapped in, and
+        # the next swap waits only for that batch's first answer, so
+        # the rest of the batch straddles the reload while every
+        # version in the sequence is guaranteed to serve at least once.
+        versions = (archive, other_path, archive, other_path)
+        futures = []
         with MicroBatchScheduler(
             reg, max_batch=4, max_wait_ms=5.0, queue_limit=256
         ) as sched:
-            reload_thread = threading.Thread(target=reloader, daemon=True)
-            reload_thread.start()
-            try:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    for response in pool.map(
-                        sched.select, [n for n in TARGETS for _ in range(4)]
-                    ):
-                        with responses_lock:
-                            responses.append(response)
-            finally:
-                stop.set()
-                reload_thread.join(timeout=10)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for path in versions:
+                    reg.reload("default", path)
+                    batch = [pool.submit(sched.select, n) for n in TARGETS]
+                    batch[0].result(timeout=60)
+                    futures.extend(batch)
+                responses = [future.result(timeout=60) for future in futures]
 
         by_batch: dict[int, set[str]] = {}
         for response in responses:
             assert response.fingerprint in (fp_a, fp_b)
-            expected = reference[response.fingerprint][
+            expected = by_version[response.fingerprint][
                 response.recommendation.workload
             ]
             _assert_matches_reference(response.recommendation, expected)
@@ -304,6 +303,8 @@ class TestHotReload:
             )
         # One knowledge version per coalesced batch, always.
         assert all(len(fps) == 1 for fps in by_batch.values())
+        # Both versions actually answered requests.
+        assert {response.fingerprint for response in responses} == {fp_a, fp_b}
 
 
 class TestHTTPFrontend:
@@ -374,6 +375,194 @@ class TestHTTPFrontend:
         _, client = running
         with pytest.raises(ValidationError):
             client.select(TARGETS[0], selector="other-model")
+
+
+#: Workload name the wire-test service rejects as overloaded (429).
+OVERLOADED = "overloaded-sentinel"
+
+
+class _OverloadedOnSentinel(SelectionService):
+    """A real service that answers one sentinel workload with a 429."""
+
+    def select(self, workload, *args, **kwargs):
+        if workload == OVERLOADED:
+            raise ServiceOverloadedError(1, queue_depth=1, retry_after_s=0.25)
+        return super().select(workload, *args, **kwargs)
+
+
+class _RecordingSocket(socket.socket):
+    """An accepted connection that logs every chunk the server writes.
+
+    A chunk is logged before it is handed to the kernel, so once the
+    client has read a reply the log already holds every write of it.
+    """
+
+    def __init__(self, accepted: socket.socket) -> None:
+        super().__init__(
+            accepted.family, accepted.type, accepted.proto,
+            fileno=accepted.detach(),
+        )
+        self.writes: list[bytes] = []
+
+    def send(self, data, *flags):
+        self.writes.append(bytes(data))
+        return super().send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self.writes.append(bytes(data))
+        return super().sendall(data, *flags)
+
+
+class _RecordingServer(ServiceHTTPServer):
+    """The real frontend, with each accepted connection recorded."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.accepted: queue.Queue[_RecordingSocket] = queue.Queue()
+
+    def get_request(self):
+        accepted, address = super().get_request()
+        conn = _RecordingSocket(accepted)
+        self.accepted.put(conn)
+        return conn, address
+
+
+@pytest.fixture()
+def wire(selector):
+    """A recording frontend over the module selector, one per test."""
+    reg = SelectorRegistry()
+    reg.register("default", selector)
+    server = _RecordingServer(_OverloadedOnSentinel(reg, max_wait_ms=0.0))
+    thread = threading.Thread(
+        target=server.serve_forever, args=(0.05,), daemon=True
+    )
+    thread.start()
+    yield server
+    server.close()
+    thread.join(timeout=10)
+
+
+def _read_reply(sock: socket.socket) -> bytes:
+    """One complete HTTP reply (head + ``Content-Length`` body) off ``sock``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-reply after {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    fields = dict(
+        line.split(b": ", 1) for line in head.split(b"\r\n")[1:]
+    )
+    length = int(fields[b"Content-Length"])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length
+    return head + b"\r\n\r\n" + body
+
+
+def _post(body: bytes, *headers: str) -> bytes:
+    lines = ["POST /select HTTP/1.1", "Host: test", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _select_body(workload: str) -> bytes:
+    return json.dumps({"workload": workload}).encode()
+
+
+def _post_select(workload: str) -> bytes:
+    body = _select_body(workload)
+    return _post(body, f"Content-Length: {len(body)}")
+
+
+_GET_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestWirePath:
+    """Every reply leaves the server as one write on a no-Nagle socket:
+    a headers write followed by a body write would wait out the
+    client's delayed ACK (~40 ms) under Nagle's algorithm."""
+
+    def test_accepted_socket_has_nagle_off(self, wire):
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(_GET_HEALTHZ)
+            _read_reply(sock)
+            conn = wire.accepted.get(timeout=10)
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    @pytest.mark.parametrize(
+        ("raw", "status"),
+        [
+            (_post_select(TARGETS[0]), 200),
+            (_GET_HEALTHZ, 200),
+            (b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n", 404),
+            (_post_select(OVERLOADED), 429),
+            # http.server's own reply to a malformed request line: its
+            # handler returns before the per-request flush, so only the
+            # final flush sends it.
+            (b"GET / extra HTTP/1.1\r\n", 400),
+        ],
+        ids=["select-200", "healthz-200", "404", "429", "malformed-400"],
+    )
+    def test_reply_is_one_write(self, wire, raw, status):
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(raw)
+            reply = _read_reply(sock)
+            conn = wire.accepted.get(timeout=10)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert conn.writes == [reply]
+        if status == 429:
+            assert b"\r\nRetry-After: 1\r\n" in reply
+
+
+class TestContentLength:
+    """A hostile or broken ``Content-Length`` gets a 4xx and a clean
+    close, never a hung handler thread or a server-side MemoryError."""
+
+    @pytest.mark.parametrize(
+        ("declared", "status"),
+        [
+            ("twelve", 400),
+            ("-5", 400),
+            ("99999999999", 413),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_bad_length_is_refused_and_closed(self, wire, declared, status):
+        # Only the head is sent: a server that tried to read the
+        # declared body would block here instead of replying.
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(_post(b"", f"Content-Length: {declared}"))
+            reply = _read_reply(sock)
+            assert sock.recv(1) == b""  # clean close after the reply
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close\r\n" in reply
+        body = json.loads(reply.partition(b"\r\n\r\n")[2])
+        assert body["error"] == "ValidationError"
+        # The server keeps serving afterwards.
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(_GET_HEALTHZ)
+            assert _read_reply(sock).startswith(b"HTTP/1.1 200 ")
+
+    def test_largest_allowed_body_is_read(self, wire):
+        body = _select_body(TARGETS[0]).ljust(MAX_BODY_BYTES)
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(_post(body, f"Content-Length: {len(body)}"))
+            assert _read_reply(sock).startswith(b"HTTP/1.1 200 ")
+
+    def test_missing_length_is_an_empty_body_on_a_live_connection(self, wire):
+        with socket.create_connection(wire.address, timeout=30) as sock:
+            sock.sendall(_post(b""))
+            reply = _read_reply(sock)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" not in reply
+            body = json.loads(reply.partition(b"\r\n\r\n")[2])
+            assert body["error"] == "ValidationError"
+            assert "workload" in body["message"]
+            # Nothing was left unread, so the connection stays usable.
+            sock.sendall(_post_select(TARGETS[0]))
+            assert _read_reply(sock).startswith(b"HTTP/1.1 200 ")
 
 
 class TestDurationSummary:

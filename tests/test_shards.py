@@ -163,7 +163,7 @@ class TestShardBitIdentity:
 
 
 class TestShardHotReload:
-    def test_no_version_mixing_mid_stream(self, selector, tmp_path):
+    def test_no_version_mixing_mid_stream(self, selector, reference, tmp_path):
         """Concurrent selects through 2 shards during repeated
         hot-reloads: every response comes from exactly one knowledge
         version and matches that version's own sequential answer."""
@@ -179,38 +179,34 @@ class TestShardHotReload:
         fp_b = other.knowledge_fingerprint()
         assert fp_a != fp_b
 
-        ref_a, ref_b = _fresh_selector(), _fresh_selector(k=5)
-        reference = {
-            fp_a: {n: ref_a.select(get_workload(n)) for n in TARGETS},
-            fp_b: {n: ref_b.select(get_workload(n)) for n in TARGETS},
+        # Version A is the module selector, whose sequential answers
+        # the ``reference`` fixture already holds.
+        by_version = {
+            fp_a: {n: reference[(n, "time")] for n in TARGETS},
+            fp_b: {n: other.select(get_workload(n)) for n in TARGETS},
         }
 
-        stop = threading.Event()
-
-        def reloader():
-            flip = False
-            while not stop.is_set():
-                reg.reload("default", archive_b if flip else archive_a)
-                flip = not flip
-
+        # Reloads at fixed points between submitted batches; the next
+        # swap waits only for the batch's first answer, so the rest
+        # straddles it while every version is sure to serve (see the
+        # single-scheduler twin in test_service.py).
+        versions = (archive_a, archive_b, archive_a, archive_b)
+        futures = []
         with ShardRouter(
             reg, shards=2, max_batch=4, max_wait_ms=5.0, queue_limit=256
         ) as router:
-            reload_thread = threading.Thread(target=reloader, daemon=True)
-            reload_thread.start()
-            try:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    responses = list(pool.map(
-                        router.select, [n for n in TARGETS for _ in range(4)]
-                    ))
-            finally:
-                stop.set()
-                reload_thread.join(timeout=10)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for path in versions:
+                    reg.reload("default", path)
+                    batch = [pool.submit(router.select, n) for n in TARGETS]
+                    batch[0].result(timeout=60)
+                    futures.extend(batch)
+                responses = [future.result(timeout=60) for future in futures]
 
         by_batch: dict[tuple[int, int], set[str]] = {}
         for response in responses:
             assert response.fingerprint in (fp_a, fp_b)
-            expected = reference[response.fingerprint][
+            expected = by_version[response.fingerprint][
                 response.recommendation.workload
             ]
             _assert_matches_reference(response.recommendation, expected)
@@ -219,6 +215,8 @@ class TestShardHotReload:
             ).add(response.fingerprint)
         # One knowledge version per coalesced batch, on every shard.
         assert all(len(fps) == 1 for fps in by_batch.values())
+        # Both versions actually answered requests.
+        assert {response.fingerprint for response in responses} == {fp_a, fp_b}
 
 
 def _fake_recommendation(name: str, objective: str = "time") -> Recommendation:
